@@ -33,6 +33,11 @@
 #      `continue;` after the code check would make records vanish with
 #      no record of the vanishing — the exact failure mode the typed
 #      kDataLoss code exists to prevent.
+#   7. One drain loop. In src/, `root->Next(` (pulling rows from a plan
+#      root) appears only in Database::Cursor::Next: ExecuteQuery and
+#      ExplainAnalyze drain a cursor instead of keeping their own loops.
+#      `RunReference` (the recursive reference interpreter) does not
+#      appear at all; it is the parity suite's oracle and lives in tests/.
 #
 # Usage: scripts/lint_invariants.sh   (exits non-zero on any violation)
 set -uo pipefail
@@ -128,6 +133,25 @@ dataloss_silent=$(awk '
 if [ -n "$dataloss_silent" ]; then
   report "kDataLoss tolerated with no accounting (count the loss, retarget, or propagate — never silently skip):" \
     "$dataloss_silent"
+fi
+
+# --- 7. one drain loop, no reference interpreter in src/ ----------------
+# A function body runs from its definition line (column 0) to the next
+# closing brace in column 0.
+stray_drain=$(awk '
+  FNR == 1 { in_next = 0 }
+  /^[^[:space:]].*Database::Cursor::Next\(/ { in_next = 1 }
+  /root->Next\(/ && !in_next { printf "%s:%d: %s\n", FILENAME, FNR, $0 }
+  /^}/ { in_next = 0 }
+' $(find src -name '*.cc' -o -name '*.h'))
+if [ -n "$stray_drain" ]; then
+  report "plan root drained outside Database::Cursor::Next (open a cursor and drain it):" \
+    "$stray_drain"
+fi
+reference=$(grep -rn 'RunReference' src --include='*.cc' --include='*.h')
+if [ -n "$reference" ]; then
+  report "reference interpreter in src/ (it is a test oracle; keep it under tests/):" \
+    "$reference"
 fi
 
 if [ "$fail" -ne 0 ]; then

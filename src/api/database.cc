@@ -40,6 +40,13 @@ class Database::StmtObs {
 
   uint64_t stmt() const { return stmt_; }
   obs::TraceLog* log() const { return db_->trace_.get(); }
+  // Parses one DML statement under this statement's "parse" span.
+  Result<StmtPtr> Parse(std::string_view text) const {
+    obs::Span span(log(), stmt_, "parse");
+    SIM_ASSIGN_OR_RETURN(StmtPtr stmt, DmlParser::ParseStatement(text));
+    span.MarkOk();
+    return stmt;
+  }
   void MarkOk() {
     ok_ = true;
     span_.MarkOk();
@@ -257,14 +264,6 @@ void Database::RegisterMetrics() {
       "simdb_dropped_status_total",
       "Statuses discarded unobserved (cursor destroyed with a failing "
       "close).");
-}
-
-void Database::ObserveExec(const ExecStats& stats, const QueryContext& qctx) {
-  if (!options_.obs.enabled) return;
-  m_exec_combinations_->Add(stats.combinations_examined);
-  m_exec_rows_->Add(stats.rows_emitted);
-  m_gov_checks_->Add(qctx.stats().checks);
-  if (!qctx.terminal().ok()) m_gov_trips_->Increment();
 }
 
 Database::~Database() {
@@ -583,30 +582,21 @@ std::vector<std::string> Database::WriteLockSet(
   return out;
 }
 
-Status Database::AcquireReadLocks(const QueryTree& qt, QueryContext* qctx,
-                                  std::unique_ptr<LockManager::Scope>* own) {
-  std::vector<std::string> classes;
-  for (const QtNode& n : qt.nodes) {
-    if (!n.class_name.empty()) classes.push_back(n.class_name);
-  }
-  if (classes.empty()) return Status::Ok();
-  LockManager::Scope* scope = nullptr;
+LockManager::Scope* Database::StatementScope(
+    std::unique_ptr<LockManager::Scope>* own, Transaction** txn) {
   {
     MutexLock session(session_mu_);
-    // Only the transaction's own thread reads through its scope; a
-    // foreign reader gets a fresh scope and thus waits on the
+    // Only the transaction's own thread works through its scope; a
+    // foreign statement gets a fresh scope and thus waits on the
     // transaction's X locks instead of seeing uncommitted writes.
     if (current_txn_ != nullptr &&
         txn_thread_ == std::this_thread::get_id()) {
-      scope = txn_scope_.get();
+      if (txn != nullptr) *txn = current_txn_;
+      return txn_scope_.get();
     }
   }
-  if (scope == nullptr) {
-    if (*own == nullptr) *own = lock_manager_.NewScope();
-    scope = own->get();
-  }
-  return lock_manager_.AcquireClasses(scope, classes,
-                                      LockManager::Mode::kShared, qctx);
+  *own = lock_manager_.NewScope();
+  return own->get();
 }
 
 Result<CheckReport> Database::AuditLocked() {
@@ -628,20 +618,9 @@ Result<CheckReport> Database::Audit() {
   // explicit transaction the txn scope (which may hold X) absorbs the S
   // set — a scope never conflicts with itself.
   QueryContext qctx(options_.governor);
-  LockManager::Scope* scope = nullptr;
-  {
-    MutexLock session(session_mu_);
-    if (current_txn_ != nullptr &&
-        txn_thread_ == std::this_thread::get_id()) {
-      scope = txn_scope_.get();
-    }
-  }
   std::unique_ptr<LockManager::Scope> own;
-  if (scope == nullptr) {
-    own = lock_manager_.NewScope();
-    scope = own.get();
-  }
-  SIM_RETURN_IF_ERROR(lock_manager_.AcquireAllClasses(scope, &qctx));
+  SIM_RETURN_IF_ERROR(
+      lock_manager_.AcquireAllClasses(StatementScope(&own), &qctx));
   return AuditLocked();
 }
 
@@ -732,25 +711,157 @@ Result<Database::RepairResult> Database::Repair() {
   return res;
 }
 
-Result<ResultSet> Database::ExecuteQuery(std::string_view dml) {
-  StmtObs sobs(this, m_stmt_queries_, dml);
-  StmtPtr stmt;
+namespace {
+
+// The two-column metric/value result of SHOW METRICS, SCRUB DATABASE and
+// REPAIR DATABASE.
+ResultSet MetricResult(const std::vector<obs::Sample>& samples) {
+  ResultSet rs;
+  rs.columns = {"metric", "value"};
+  for (const obs::Sample& s : samples) {
+    Row row;
+    row.values = {Value::Str(s.name),
+                  Value::Int(static_cast<int64_t>(s.value))};
+    rs.rows.push_back(std::move(row));
+  }
+  return rs;
+}
+
+// Pulls every row of an open cursor into a ResultSet, then closes it.
+Result<ResultSet> Drain(Database::Cursor* cur) {
+  ResultSet rs;
+  rs.columns = cur->columns();
+  rs.structured = cur->structured();
+  Row row;
+  while (true) {
+    SIM_ASSIGN_OR_RETURN(bool has, cur->Next(&row));
+    if (!has) break;
+    rs.rows.push_back(std::move(row));
+  }
+  SIM_RETURN_IF_ERROR(cur->Close());
+  return rs;
+}
+
+}  // namespace
+
+// One Retrieve from plan to close. `qt` owns the nodes and bound
+// expressions the operator tree references (by node id and by stable heap
+// pointer), so the two stay together, and `qt` and `qctx` (which `cx`
+// points at) must be populated before `cx` is built.
+struct Database::Cursor::Impl {
+  QueryTree qt;
+  // The validated operator tree; plan.access is the strategy it realizes.
+  PhysicalPlan plan;
+  std::unique_ptr<QueryContext> qctx;
+  std::unique_ptr<ExecContext> cx;
+  bool open = false;
+  bool done = false;
+  // Sticky terminal status: once Next fails, every further Next returns
+  // the same status without re-entering the operator tree.
+  Status terminal = Status::Ok();
+  // Trace context: the "execute" span runs from Open to the first Close,
+  // when the event is recorded with the final counts.
+  Database* db = nullptr;
+  uint64_t stmt_id = 0;
+  uint64_t open_us = 0;
+};
+
+Result<std::unique_ptr<Database::Cursor::Impl>> Database::PlanRetrieve(
+    const Stmt& stmt, std::string_view entry, const StmtObs& sobs) {
+  SIM_RETURN_IF_ERROR(EnsureMapper());
+  if (stmt.kind != StmtKind::kRetrieve) {
+    return Status::InvalidArgument(
+        std::string(entry) +
+        " expects a Retrieve statement; run updates through ExecuteUpdate");
+  }
+  auto q = std::make_unique<Cursor::Impl>();
   {
-    obs::Span span(sobs.log(), sobs.stmt(), "parse");
-    SIM_ASSIGN_OR_RETURN(stmt, DmlParser::ParseStatement(dml));
+    obs::Span span(sobs.log(), sobs.stmt(), "bind");
+    Binder binder(&dir_);
+    SIM_ASSIGN_OR_RETURN(
+        q->qt, binder.BindRetrieve(static_cast<const RetrieveStmt&>(stmt)));
     span.MarkOk();
   }
+  AccessPlan access;
+  if (options_.use_optimizer) {
+    obs::Span span(sobs.log(), sobs.stmt(), "optimize");
+    SIM_ASSIGN_OR_RETURN(access, optimizer_->Optimize(q->qt));
+    span.AddAttr("strategies",
+                 static_cast<uint64_t>(access.strategies_considered));
+    span.AddAttr("est_cost_blocks", static_cast<uint64_t>(access.est_cost));
+    span.MarkOk();
+  }
+  obs::Span span(sobs.log(), sobs.stmt(), "map");
+  SIM_ASSIGN_OR_RETURN(
+      q->plan,
+      PhysicalPlan::Build(q->qt, options_.use_optimizer ? &access : nullptr,
+                          mapper_.get()));
+  // Layer-3 audit: refuse to run a structurally malformed operator tree.
+  SIM_RETURN_IF_ERROR(ValidatePlanOrError(q->plan, q->qt));
+  if (options_.paranoid_checks) {
+    q->plan.root = std::make_unique<ProtocolCheck>(std::move(q->plan.root));
+  }
+  span.MarkOk();
+  return q;
+}
+
+Result<Database::Cursor> Database::OpenPlanned(std::unique_ptr<Cursor::Impl> q,
+                                               const StmtObs& sobs) {
+  q->qctx = std::make_unique<QueryContext>(options_.governor);
+  // Shared locks on the extents the query reads (the lock manager widens
+  // each class to its subclasses), held until Close: concurrent readers
+  // proceed, and a writer to these families waits until the stream is
+  // done, never seeing a half-drained scan.
+  std::vector<std::string> classes;
+  for (const QtNode& n : q->qt.nodes) {
+    if (!n.class_name.empty()) classes.push_back(n.class_name);
+  }
+  std::unique_ptr<LockManager::Scope> own;
+  SIM_RETURN_IF_ERROR(lock_manager_.AcquireClasses(
+      StatementScope(&own), classes, LockManager::Mode::kShared,
+      q->qctx.get()));
+  if (own != nullptr) q->qctx->AttachResource(std::move(own));
+  q->cx = std::make_unique<ExecContext>(&q->qt, mapper_.get(), q->qctx.get());
+  q->db = this;
+  q->stmt_id = sobs.stmt();
+  if (trace_ != nullptr) q->open_us = trace_->NowUs();
+  SIM_RETURN_IF_ERROR(q->plan.root->Open(*q->cx));
+  q->open = true;
+  return Cursor(std::move(q));
+}
+
+void Database::ObserveExec(const Cursor::Impl& q, bool ok) {
+  const ExecStats& stats = q.cx->stats;
+  {
+    MutexLock l(stmt_mu_);
+    last_plan_ = q.plan.access;
+    last_exec_stats_ = stats;
+  }
+  if (!options_.obs.enabled) return;
+  m_exec_combinations_->Add(stats.combinations_examined);
+  m_exec_rows_->Add(stats.rows_emitted);
+  m_gov_checks_->Add(q.qctx->stats().checks);
+  if (!q.qctx->terminal().ok()) m_gov_trips_->Increment();
+  if (trace_ != nullptr) {
+    obs::TraceEvent e;
+    e.stmt = q.stmt_id;
+    e.span = "execute";
+    e.start_us = q.open_us;
+    e.dur_us = trace_->NowUs() - q.open_us;
+    e.ok = ok;
+    e.attrs.emplace_back("rows", stats.rows_emitted);
+    e.attrs.emplace_back("combinations", stats.combinations_examined);
+    trace_->Record(std::move(e));
+  }
+}
+
+Result<ResultSet> Database::ExecuteQuery(std::string_view dml) {
+  StmtObs sobs(this, m_stmt_queries_, dml);
+  SIM_ASSIGN_OR_RETURN(StmtPtr stmt, sobs.Parse(dml));
   if (stmt->kind == StmtKind::kShowMetrics) {
     // Deliberately before EnsureMapper(): the metrics surface must work on
     // a schemaless or degraded (post-recovery) database.
-    ResultSet rs;
-    rs.columns = {"metric", "value"};
-    for (const obs::Sample& s : metrics_.Samples()) {
-      Row row;
-      row.values = {Value::Str(s.name),
-                    Value::Int(static_cast<int64_t>(s.value))};
-      rs.rows.push_back(std::move(row));
-    }
+    ResultSet rs = MetricResult(metrics_.Samples());
     sobs.MarkOk();
     return rs;
   }
@@ -760,20 +871,14 @@ Result<ResultSet> Database::ExecuteQuery(std::string_view dml) {
     // a physical layer already exists.
     obs::Span span(sobs.log(), sobs.stmt(), "execute");
     SIM_ASSIGN_OR_RETURN(Scrubber::Report rep, Scrub());
-    ResultSet rs;
-    rs.columns = {"metric", "value"};
-    auto add = [&rs](std::string_view name, uint64_t v) {
-      Row row;
-      row.values = {Value::Str(std::string(name)),
-                    Value::Int(static_cast<int64_t>(v))};
-      rs.rows.push_back(std::move(row));
-    };
-    add("pages_scanned", rep.pages_scanned);
-    add("checksum_failures", rep.checksum_failures);
-    add("record_failures", rep.record_failures);
-    add("pages_quarantined", rep.pages_quarantined);
-    add("pages_skipped", rep.pages_skipped);
-    add("quarantined_total", quarantine_.size());
+    ResultSet rs = MetricResult({
+        {"pages_scanned", rep.pages_scanned},
+        {"checksum_failures", rep.checksum_failures},
+        {"record_failures", rep.record_failures},
+        {"pages_quarantined", rep.pages_quarantined},
+        {"pages_skipped", rep.pages_skipped},
+        {"quarantined_total", quarantine_.size()},
+    });
     span.AddAttr("errors", rep.checksum_failures + rep.record_failures);
     span.MarkOk();
     sobs.MarkOk();
@@ -782,29 +887,23 @@ Result<ResultSet> Database::ExecuteQuery(std::string_view dml) {
   if (stmt->kind == StmtKind::kRepair) {
     obs::Span span(sobs.log(), sobs.stmt(), "execute");
     SIM_ASSIGN_OR_RETURN(RepairResult res, Repair());
-    ResultSet rs;
-    rs.columns = {"metric", "value"};
-    auto add = [&rs](std::string_view name, uint64_t v) {
-      Row row;
-      row.values = {Value::Str(std::string(name)),
-                    Value::Int(static_cast<int64_t>(v))};
-      rs.rows.push_back(std::move(row));
-    };
-    add("pages_reformatted", res.report.pages_reformatted);
-    add("records_dropped", res.report.records_dropped);
-    add("entities_dropped", res.report.entities_dropped);
-    add("fields_nulled", res.report.fields_nulled);
-    add("mv_values_dropped", res.report.mv_values_dropped);
-    add("eva_pairs_dropped", res.report.eva_pairs_dropped);
-    add("structures_rebuilt", res.report.structures_rebuilt);
-    add("audit_findings", res.audit_findings);
+    ResultSet rs = MetricResult({
+        {"pages_reformatted", res.report.pages_reformatted},
+        {"records_dropped", res.report.records_dropped},
+        {"entities_dropped", res.report.entities_dropped},
+        {"fields_nulled", res.report.fields_nulled},
+        {"mv_values_dropped", res.report.mv_values_dropped},
+        {"eva_pairs_dropped", res.report.eva_pairs_dropped},
+        {"structures_rebuilt", res.report.structures_rebuilt},
+        {"audit_findings", res.audit_findings},
+    });
     span.AddAttr("pages_reformatted", res.report.pages_reformatted);
     span.MarkOk();
     sobs.MarkOk();
     return rs;
   }
-  SIM_RETURN_IF_ERROR(EnsureMapper());
   if (stmt->kind == StmtKind::kCheck) {
+    SIM_RETURN_IF_ERROR(EnsureMapper());
     obs::Span span(sobs.log(), sobs.stmt(), "execute");
     SIM_ASSIGN_OR_RETURN(CheckReport report, Audit());
     ResultSet rs;
@@ -824,77 +923,13 @@ Result<ResultSet> Database::ExecuteQuery(std::string_view dml) {
     sobs.MarkOk();
     return rs;
   }
-  if (stmt->kind != StmtKind::kRetrieve) {
-    return Status::InvalidArgument(
-        "ExecuteQuery expects a Retrieve statement; use ExecuteUpdate");
-  }
-  const auto& retrieve = static_cast<const RetrieveStmt&>(*stmt);
-  Binder binder(&dir_);
-  QueryTree qt;
-  {
-    obs::Span span(sobs.log(), sobs.stmt(), "bind");
-    SIM_ASSIGN_OR_RETURN(qt, binder.BindRetrieve(retrieve));
-    span.MarkOk();
-  }
-  Executor exec(mapper_.get());
-  exec.set_trace(sobs.log(), sobs.stmt());
-  QueryContext qctx(options_.governor);
-  // Shared locks on the extents this query reads: concurrent readers
-  // proceed, writers to these families are excluded until the statement
-  // ends (scope destruction).
-  std::unique_ptr<LockManager::Scope> read_scope;
-  SIM_RETURN_IF_ERROR(AcquireReadLocks(qt, &qctx, &read_scope));
-  // The plan is statement-local: concurrent queries must not execute off
-  // a member another thread is overwriting. last_plan_ gets a copy at the
-  // end for the observability accessor.
-  AccessPlan plan;
-  Result<ResultSet> rs = Status::Internal("query not dispatched");
-  if (options_.use_optimizer) {
-    {
-      obs::Span span(sobs.log(), sobs.stmt(), "optimize");
-      SIM_ASSIGN_OR_RETURN(plan, optimizer_->Optimize(qt));
-      span.AddAttr("strategies",
-                   static_cast<uint64_t>(plan.strategies_considered));
-      span.AddAttr("est_cost_blocks", static_cast<uint64_t>(plan.est_cost));
-      span.MarkOk();
-    }
-    rs = exec.Run(qt, &plan, &qctx);
-  } else {
-    rs = exec.Run(qt, nullptr, &qctx);
-  }
-  {
-    MutexLock l(stmt_mu_);
-    last_plan_ = plan;
-    last_exec_stats_ = exec.last_stats();
-  }
-  ObserveExec(exec.last_stats(), qctx);
-  if (rs.ok()) sobs.MarkOk();
+  SIM_ASSIGN_OR_RETURN(std::unique_ptr<Cursor::Impl> q,
+                       PlanRetrieve(*stmt, "ExecuteQuery", sobs));
+  SIM_ASSIGN_OR_RETURN(Cursor cur, OpenPlanned(std::move(q), sobs));
+  SIM_ASSIGN_OR_RETURN(ResultSet rs, Drain(&cur));
+  sobs.MarkOk();
   return rs;
 }
-
-struct Database::Cursor::Impl {
-  // `qt` owns the nodes and bound expressions the operator tree references
-  // (by node id and by stable heap pointer), so the members must stay
-  // together and `qt` (and `qctx`, which `cx` points at) must be populated
-  // before `cx` is built.
-  QueryTree qt;
-  // Cursor-local access plan: the operator tree holds pointers into it,
-  // and concurrent statements must not share the Database-level copy.
-  AccessPlan access;
-  PhysicalPlan plan;
-  std::unique_ptr<QueryContext> qctx;
-  std::unique_ptr<ExecContext> cx;
-  bool open = false;
-  bool done = false;
-  // Sticky terminal status: once Next fails, every further Next returns
-  // the same status without re-entering the operator tree.
-  Status terminal = Status::Ok();
-  // Trace context: the cursor's "execute" span runs from OpenCursor to
-  // the first Close, when the event is recorded with the final counts.
-  Database* db = nullptr;
-  uint64_t stmt_id = 0;
-  uint64_t open_us = 0;
-};
 
 Database::Cursor::Cursor(std::unique_ptr<Impl> impl) : impl_(std::move(impl)) {}
 Database::Cursor::Cursor(Cursor&&) noexcept = default;
@@ -908,7 +943,7 @@ Database::Cursor::~Cursor() {
   // themselves — an explicit Close makes the destructor a no-op.
   if (impl_ == nullptr) return;
   Status s = Close();
-  if (!s.ok() && impl_->db != nullptr) {
+  if (!s.ok()) {
     Database* db = impl_->db;
     db->dropped_statuses_.fetch_add(1, std::memory_order_relaxed);
     if (db->m_dropped_status_ != nullptr) db->m_dropped_status_->Increment();
@@ -928,13 +963,15 @@ bool Database::Cursor::structured() const {
   return impl_->qt.mode == OutputMode::kStructure;
 }
 
+// The engine's one drain loop: ExecuteQuery and ExplainAnalyze pull rows
+// through here exactly as a caller of OpenCursor does.
 Result<bool> Database::Cursor::Next(Row* row) {
   Impl* im = impl_.get();
   if (im == nullptr) return false;
   if (!im->terminal.ok()) return im->terminal;
   if (!im->open || im->done) return false;
   Result<bool> has = im->plan.root->Next(*im->cx, row);
-  if (has.ok() && *has && im->qctx != nullptr) {
+  if (has.ok() && *has) {
     Status charged = im->qctx->ChargeRows();
     if (!charged.ok()) has = charged;
   }
@@ -952,9 +989,7 @@ Result<bool> Database::Cursor::Next(Row* row) {
 }
 
 void Database::Cursor::Cancel() {
-  if (impl_ != nullptr && impl_->qctx != nullptr) {
-    impl_->qctx->RequestCancel();
-  }
+  if (impl_ != nullptr) impl_->qctx->RequestCancel();
 }
 
 Status Database::Cursor::Close() {
@@ -962,189 +997,53 @@ Status Database::Cursor::Close() {
   if (im == nullptr || !im->open) return Status::Ok();
   im->open = false;
   Status s = im->plan.root->Close(*im->cx);
-  if (im->db != nullptr) {
-    im->db->ObserveExec(im->cx->stats, *im->qctx);
-    if (obs::TraceLog* log = im->db->trace_.get()) {
-      obs::TraceEvent e;
-      e.stmt = im->stmt_id;
-      e.span = "execute";
-      e.start_us = im->open_us;
-      e.dur_us = log->NowUs() - im->open_us;
-      e.ok = im->terminal.ok() && s.ok();
-      e.attrs.emplace_back("rows", im->cx->stats.rows_emitted);
-      e.attrs.emplace_back("combinations",
-                           im->cx->stats.combinations_examined);
-      log->Record(std::move(e));
-    }
-  }
+  im->db->ObserveExec(*im, im->terminal.ok() && s.ok());
   // Drop the cursor's shared locks now, not at destruction: once the
   // operator tree is closed the cursor reads nothing more, and a pending
   // writer can proceed.
-  if (im->qctx != nullptr) im->qctx->ReleaseResources();
+  im->qctx->ReleaseResources();
   return s;
 }
 
 ExecStats Database::Cursor::stats() const {
-  return impl_ != nullptr && impl_->cx != nullptr ? impl_->cx->stats
-                                                  : ExecStats();
+  return impl_ != nullptr ? impl_->cx->stats : ExecStats();
 }
 
 QueryContext::Stats Database::Cursor::governor_stats() const {
-  return impl_ != nullptr && impl_->qctx != nullptr ? impl_->qctx->stats()
-                                                    : QueryContext::Stats();
+  return impl_ != nullptr ? impl_->qctx->stats() : QueryContext::Stats();
 }
 
 Result<Database::Cursor> Database::OpenCursor(std::string_view dml) {
   StmtObs sobs(this, m_stmt_queries_, dml);
-  SIM_RETURN_IF_ERROR(EnsureMapper());
-  StmtPtr stmt;
-  {
-    obs::Span span(sobs.log(), sobs.stmt(), "parse");
-    SIM_ASSIGN_OR_RETURN(stmt, DmlParser::ParseStatement(dml));
-    span.MarkOk();
-  }
-  if (stmt->kind != StmtKind::kRetrieve) {
-    return Status::InvalidArgument("OpenCursor expects a Retrieve statement");
-  }
-  const auto& retrieve = static_cast<const RetrieveStmt&>(*stmt);
-  Binder binder(&dir_);
-  QueryTree qt;
-  {
-    obs::Span span(sobs.log(), sobs.stmt(), "bind");
-    SIM_ASSIGN_OR_RETURN(qt, binder.BindRetrieve(retrieve));
-    span.MarkOk();
-  }
-  auto impl = std::make_unique<Cursor::Impl>();
-  {
-    obs::Span span(sobs.log(), sobs.stmt(), "optimize");
-    if (options_.use_optimizer) {
-      SIM_ASSIGN_OR_RETURN(impl->access, optimizer_->Optimize(qt));
-    }
-    span.MarkOk();
-  }
-  {
-    obs::Span span(sobs.log(), sobs.stmt(), "map");
-    SIM_ASSIGN_OR_RETURN(
-        impl->plan,
-        PhysicalPlan::Build(
-            qt, options_.use_optimizer ? &impl->access : nullptr,
-            mapper_.get()));
-    SIM_RETURN_IF_ERROR(ValidatePlanOrError(impl->plan, qt));
-    span.MarkOk();
-  }
-  impl->qt = std::move(qt);
-  if (options_.paranoid_checks) {
-    impl->plan.root =
-        std::make_unique<ProtocolCheck>(std::move(impl->plan.root));
-  }
-  impl->qctx = std::make_unique<QueryContext>(options_.governor);
-  // Shared locks for the cursor's whole lifetime: attached to its query
-  // context, released at Close (or destruction). A writer to these
-  // families waits until the stream is done — never sees a half-drained
-  // scan.
-  {
-    std::unique_ptr<LockManager::Scope> read_scope;
-    SIM_RETURN_IF_ERROR(
-        AcquireReadLocks(impl->qt, impl->qctx.get(), &read_scope));
-    if (read_scope != nullptr) {
-      impl->qctx->AttachResource(std::move(read_scope));
-    }
-  }
-  {
-    MutexLock l(stmt_mu_);
-    last_plan_ = impl->access;
-  }
-  impl->cx = std::make_unique<ExecContext>(&impl->qt, mapper_.get(),
-                                           impl->qctx.get());
-  SIM_RETURN_IF_ERROR(impl->plan.root->Open(*impl->cx));
-  impl->open = true;
-  impl->db = this;
-  impl->stmt_id = sobs.stmt();
-  if (trace_ != nullptr) impl->open_us = trace_->NowUs();
+  SIM_ASSIGN_OR_RETURN(StmtPtr stmt, sobs.Parse(dml));
+  SIM_ASSIGN_OR_RETURN(std::unique_ptr<Cursor::Impl> q,
+                       PlanRetrieve(*stmt, "OpenCursor", sobs));
+  SIM_ASSIGN_OR_RETURN(Cursor cur, OpenPlanned(std::move(q), sobs));
   sobs.MarkOk();
-  return Cursor(std::move(impl));
+  return cur;
 }
 
 Result<std::string> Database::Explain(std::string_view dml) {
-  SIM_RETURN_IF_ERROR(EnsureMapper());
-  SIM_ASSIGN_OR_RETURN(StmtPtr stmt, DmlParser::ParseStatement(dml));
-  if (stmt->kind != StmtKind::kRetrieve) {
-    return Status::InvalidArgument("Explain expects a Retrieve statement");
-  }
-  const auto& retrieve = static_cast<const RetrieveStmt&>(*stmt);
-  Binder binder(&dir_);
-  SIM_ASSIGN_OR_RETURN(QueryTree qt, binder.BindRetrieve(retrieve));
-  SIM_ASSIGN_OR_RETURN(AccessPlan plan, optimizer_->Optimize(qt));
-  SIM_ASSIGN_OR_RETURN(PhysicalPlan pplan,
-                       PhysicalPlan::Build(qt, &plan, mapper_.get()));
-  return qt.DebugString() + plan.Describe() + "\n" + pplan.Describe(false);
+  StmtObs sobs(this, m_stmt_queries_, dml);
+  SIM_ASSIGN_OR_RETURN(StmtPtr stmt, sobs.Parse(dml));
+  SIM_ASSIGN_OR_RETURN(std::unique_ptr<Cursor::Impl> q,
+                       PlanRetrieve(*stmt, "Explain", sobs));
+  sobs.MarkOk();
+  return q->qt.DebugString() + q->plan.access.Describe() + "\n" +
+         q->plan.Describe(false);
 }
 
 Result<std::string> Database::ExplainAnalyze(std::string_view dml) {
   StmtObs sobs(this, m_stmt_queries_, dml);
-  SIM_RETURN_IF_ERROR(EnsureMapper());
-  StmtPtr stmt;
-  {
-    obs::Span span(sobs.log(), sobs.stmt(), "parse");
-    SIM_ASSIGN_OR_RETURN(stmt, DmlParser::ParseStatement(dml));
-    span.MarkOk();
-  }
-  if (stmt->kind != StmtKind::kRetrieve) {
-    return Status::InvalidArgument(
-        "ExplainAnalyze expects a Retrieve statement");
-  }
-  const auto& retrieve = static_cast<const RetrieveStmt&>(*stmt);
-  Binder binder(&dir_);
-  QueryTree qt;
-  {
-    obs::Span span(sobs.log(), sobs.stmt(), "bind");
-    SIM_ASSIGN_OR_RETURN(qt, binder.BindRetrieve(retrieve));
-    span.MarkOk();
-  }
-  AccessPlan plan;
-  {
-    obs::Span span(sobs.log(), sobs.stmt(), "optimize");
-    SIM_ASSIGN_OR_RETURN(plan, optimizer_->Optimize(qt));
-    span.MarkOk();
-  }
-  PhysicalPlan pplan;
-  {
-    obs::Span span(sobs.log(), sobs.stmt(), "map");
-    SIM_ASSIGN_OR_RETURN(pplan,
-                         PhysicalPlan::Build(qt, &plan, mapper_.get()));
-    SIM_RETURN_IF_ERROR(ValidatePlanOrError(pplan, qt));
-    span.MarkOk();
-  }
-  // Drain the pipeline so every operator has actual row counts, per-Next
-  // wall time and buffer-pool deltas.
-  QueryContext qctx(options_.governor);
-  std::unique_ptr<LockManager::Scope> read_scope;
-  SIM_RETURN_IF_ERROR(AcquireReadLocks(qt, &qctx, &read_scope));
-  ExecContext cx(&qt, mapper_.get(), &qctx);
-  cx.time_operators = true;
-  obs::Span exec_span(sobs.log(), sobs.stmt(), "execute");
-  SIM_RETURN_IF_ERROR(pplan.root->Open(cx));
-  Row row;
-  while (true) {
-    Result<bool> has = pplan.root->Next(cx, &row);
-    if (!has.ok()) {
-      Status fail = has.status();
-      fail.Update(pplan.root->Close(cx));
-      return fail;
-    }
-    if (!*has) break;
-    ++cx.stats.rows_emitted;
-  }
-  SIM_RETURN_IF_ERROR(pplan.root->Close(cx));
-  {
-    MutexLock l(stmt_mu_);
-    last_plan_ = plan;
-    last_exec_stats_ = cx.stats;
-  }
-  exec_span.AddAttr("rows", cx.stats.rows_emitted);
-  exec_span.AddAttr("combinations", cx.stats.combinations_examined);
-  exec_span.MarkOk();
-  ObserveExec(cx.stats, qctx);
+  SIM_ASSIGN_OR_RETURN(StmtPtr stmt, sobs.Parse(dml));
+  SIM_ASSIGN_OR_RETURN(std::unique_ptr<Cursor::Impl> q,
+                       PlanRetrieve(*stmt, "ExplainAnalyze", sobs));
+  SIM_ASSIGN_OR_RETURN(Cursor cur, OpenPlanned(std::move(q), sobs));
+  // Every operator's Next now measures wall time and buffer-pool deltas,
+  // so the drain leaves actual row counts and timings in the tree.
+  cur.impl_->cx->time_operators = true;
+  SIM_RETURN_IF_ERROR(Drain(&cur).status());
+  const Cursor::Impl& im = *cur.impl_;
   // One "op" event per operator, so the NDJSON log carries the same
   // per-operator timings the rendered tree prints.
   if (obs::TraceLog* log = trace_.get()) {
@@ -1163,22 +1062,18 @@ Result<std::string> Database::ExplainAnalyze(std::string_view dml) {
           log->Record(std::move(e));
           for (const PhysicalOperator* child : op->Children()) emit(child);
         };
-    emit(pplan.root.get());
+    emit(im.plan.root.get());
   }
   sobs.MarkOk();
-  return qt.DebugString() + plan.Describe() + "\n" + pplan.Describe(true);
+  return im.qt.DebugString() + im.plan.access.Describe() + "\n" +
+         im.plan.Describe(true);
 }
 
 Result<int> Database::ExecuteUpdate(std::string_view dml) {
   if (read_only_) return ReadOnlyError();
   StmtObs sobs(this, m_stmt_updates_, dml);
   SIM_RETURN_IF_ERROR(EnsureMapper());
-  StmtPtr stmt;
-  {
-    obs::Span span(sobs.log(), sobs.stmt(), "parse");
-    SIM_ASSIGN_OR_RETURN(stmt, DmlParser::ParseStatement(dml));
-    span.MarkOk();
-  }
+  SIM_ASSIGN_OR_RETURN(StmtPtr stmt, sobs.Parse(dml));
   return ApplyUpdate(*stmt, &sobs);
 }
 
@@ -1203,25 +1098,13 @@ Result<int> Database::ApplyUpdate(const Stmt& stmt, StmtObs* sobs) {
           "ExecuteUpdate expects Insert/Modify/Delete; use ExecuteQuery");
   }
 
-  // Session peek: an explicit transaction supplies its transaction and
-  // lock scope (the driving thread owns both between Begin and
-  // Commit/Rollback); autocommit builds statement-local ones.
+  // An explicit transaction supplies its transaction and lock scope (the
+  // driving thread owns both between Begin and Commit/Rollback);
+  // autocommit builds statement-local ones.
   Transaction* txn = nullptr;
-  LockManager::Scope* scope = nullptr;
-  {
-    MutexLock session(session_mu_);
-    if (current_txn_ != nullptr &&
-        txn_thread_ == std::this_thread::get_id()) {
-      txn = current_txn_;
-      scope = txn_scope_.get();
-    }
-  }
-  const bool implicit_txn = txn == nullptr;
   std::unique_ptr<LockManager::Scope> stmt_scope;
-  if (implicit_txn) {
-    stmt_scope = lock_manager_.NewScope();
-    scope = stmt_scope.get();
-  }
+  LockManager::Scope* scope = StatementScope(&stmt_scope, &txn);
+  const bool implicit_txn = txn == nullptr;
 
   // Exclusive locks before any transaction state exists, so a blocked
   // acquisition that aborts (deadlock, deadline, cancel) leaves nothing

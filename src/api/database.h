@@ -43,8 +43,8 @@
 #include "check/repair.h"
 #include "common/query_context.h"
 #include "common/status.h"
-#include "exec/executor.h"
 #include "exec/integrity.h"
+#include "exec/operators.h"
 #include "exec/output.h"
 #include "exec/update_exec.h"
 #include "luc/mapper.h"
@@ -96,7 +96,7 @@ struct DatabaseOptions {
   bool recovery_audit = true;
   // Debug mode for tests: run the full invariant audit after every update
   // statement (failing the statement's result on any finding) and wrap
-  // streaming-cursor plans in the iterator-protocol checker.
+  // every Retrieve plan in the iterator-protocol checker.
   bool paranoid_checks = false;
   // Resource governor applied to every statement: deadline_ms (-1 =
   // unlimited, 0 = cancel at the first check), max_combinations, max_rows,
@@ -151,7 +151,8 @@ class Database {
 
   // --- data manipulation ---
 
-  // Runs one Retrieve statement.
+  // Runs one Retrieve statement (or CHECK / SCRUB / REPAIR DATABASE, SHOW
+  // METRICS). A Retrieve is planned, opened as a cursor and drained.
   Result<ResultSet> ExecuteQuery(std::string_view dml);
 
   // Streaming query handle: rows are produced on demand by the Volcano
@@ -238,12 +239,14 @@ class Database {
   // Violations are findings in the report, not a non-OK status.
   Result<CheckReport> Audit();
 
-  // The chosen access plan for a Retrieve: query tree, root strategy and
-  // the compiled physical operator tree with estimated rows, as text.
+  // The plan a Retrieve would run with, as text: query tree, root
+  // strategy and the validated operator tree with estimated rows. Plans
+  // exactly as the entry points that run a query do, and takes no locks.
   Result<std::string> Explain(std::string_view dml);
 
-  // Explain, then actually run the query: the operator tree is printed
-  // with estimated AND actual row counts per operator.
+  // Explain, then run the query through a cursor with per-operator timing
+  // on: the operator tree is printed with estimated AND actual row counts,
+  // wall time and buffer-pool hits/misses per operator.
   Result<std::string> ExplainAnalyze(std::string_view dml);
 
   // --- explicit transactions ---
@@ -291,7 +294,7 @@ class Database {
   // Statement execution artifacts of the most recent statement, returned
   // by value: concurrent statements each publish their own copy under
   // stmt_mu_, so observers see one coherent plan, never a torn mix.
-  Executor::ExecStats last_exec_stats() const SIM_EXCLUDES(stmt_mu_) {
+  ExecStats last_exec_stats() const SIM_EXCLUDES(stmt_mu_) {
     MutexLock l(stmt_mu_);
     return last_exec_stats_;
   }
@@ -328,9 +331,26 @@ class Database {
   // counters. Called once by Open after the storage stack exists.
   void RegisterMetrics();
 
-  // Folds one finished statement's executor + governor stats into the
-  // registry (no-op when obs is disabled).
-  void ObserveExec(const ExecStats& stats, const QueryContext& qctx);
+  // Plan step of every Retrieve entry point: binds `stmt` (which must be a
+  // Retrieve; `entry` names the caller in the error), optimizes it when
+  // use_optimizer is set, builds and validates the operator tree, and
+  // wraps its root in ProtocolCheck when paranoid_checks is set. Emits the
+  // bind, optimize and map spans. Takes no locks: planning reads only the
+  // frozen physical schema and counters the mapper latches.
+  Result<std::unique_ptr<Cursor::Impl>> PlanRetrieve(const Stmt& stmt,
+                                                     std::string_view entry,
+                                                     const StmtObs& sobs);
+
+  // Open step of every entry point that runs a query: S-locks the read set
+  // into the statement's QueryContext (or the calling thread's explicit
+  // transaction scope), builds the ExecContext and opens the plan.
+  Result<Cursor> OpenPlanned(std::unique_ptr<Cursor::Impl> q,
+                             const StmtObs& sobs);
+
+  // Close-time accounting of a query run: publishes last_plan() and
+  // last_exec_stats(), folds executor + governor stats into the registry
+  // and records the "execute" span (registry and span only with obs on).
+  void ObserveExec(const Cursor::Impl& q, bool ok) SIM_EXCLUDES(stmt_mu_);
 
   // Builds physical schema + mapper + integrity checker if not yet built.
   // Thread-safe: double-checked through scrape_mapper_ with init_mu_
@@ -349,13 +369,12 @@ class Database {
   // widens each name to its whole family.
   std::vector<std::string> WriteLockSet(const std::string& class_name) const;
 
-  // Shared-locks the extents a bound query reads (its node classes,
-  // DAG-expanded by the lock manager). Uses the explicit transaction's
-  // scope when one is active (the owner thread already holds exclusive
-  // locks there); otherwise acquires into `own`, which the caller keeps
-  // alive for the duration of execution.
-  Status AcquireReadLocks(const QueryTree& qt, QueryContext* qctx,
-                          std::unique_ptr<LockManager::Scope>* own)
+  // The lock scope a statement acquires into: the explicit transaction's
+  // when the calling thread owns it (that transaction is stored in *txn
+  // when `txn` is given), else a fresh statement scope stored in *own,
+  // which the caller keeps alive for as long as the locks must hold.
+  LockManager::Scope* StatementScope(std::unique_ptr<LockManager::Scope>* own,
+                                     Transaction** txn = nullptr)
       SIM_EXCLUDES(session_mu_);
 
   // Audit body without lock acquisition — for callers already holding a
@@ -499,7 +518,7 @@ class Database {
   // stmt_mu_ guards the most-recent-statement artifacts below; concurrent
   // statements publish their statement-local copies here at completion.
   mutable Mutex stmt_mu_;
-  Executor::ExecStats last_exec_stats_ SIM_GUARDED_BY(stmt_mu_);
+  ExecStats last_exec_stats_ SIM_GUARDED_BY(stmt_mu_);
   AccessPlan last_plan_ SIM_GUARDED_BY(stmt_mu_);
 };
 

@@ -1,9 +1,44 @@
 #include "exec/integrity.h"
 
 #include "common/strings.h"
+#include "exec/expr_eval.h"
 #include "parser/dml_parser.h"
 
 namespace sim {
+
+Result<bool> EntitySatisfies(const QueryTree& qt, LucMapper* mapper,
+                             SurrogateId s, QueryContext* qctx) {
+  if (qt.roots.size() != 1) {
+    return Status::Internal("EntitySatisfies requires a single-root tree");
+  }
+  EvalContext ctx(&qt, mapper);
+  ctx.set_query_context(qctx);
+  ExprEvaluator ev(&ctx);
+  NodeBinding b;
+  b.bound = true;
+  b.entity = s;
+  ctx.binding(qt.roots[0]) = b;
+  if (qt.where == nullptr) return true;
+  std::vector<int> inner;
+  for (int n : qt.MainLoopNodes()) {
+    if (n != qt.roots[0]) inner.push_back(n);
+  }
+  if (inner.empty()) {
+    SIM_ASSIGN_OR_RETURN(TriBool t, ev.EvalPredicate(*qt.where));
+    return t == TriBool::kTrue;
+  }
+  bool found = false;
+  Status st = ev.ForEachCombination(inner, [&]() -> Result<bool> {
+    SIM_ASSIGN_OR_RETURN(TriBool t, ev.EvalPredicate(*qt.where));
+    if (t == TriBool::kTrue) {
+      found = true;
+      return false;
+    }
+    return true;
+  });
+  SIM_RETURN_IF_ERROR(st);
+  return found;
+}
 
 Status IntegrityChecker::Prepare() {
   conditions_.clear();
@@ -46,7 +81,6 @@ Status IntegrityChecker::Prepare() {
 Status IntegrityChecker::CheckOne(
     const PreparedVerify& v, const std::vector<SurrogateId>& entities,
     const std::set<std::string>& touched_classes) {
-  Executor exec(mapper_);
   // Entities touched directly and holding the perspective role.
   std::vector<SurrogateId> to_check;
   for (SurrogateId s : entities) {
@@ -74,7 +108,7 @@ Status IntegrityChecker::CheckOne(
   }
   for (SurrogateId s : to_check) {
     ++evaluations_;
-    SIM_ASSIGN_OR_RETURN(bool ok, exec.EntitySatisfies(v.tree, s));
+    SIM_ASSIGN_OR_RETURN(bool ok, EntitySatisfies(v.tree, mapper_, s));
     // EntitySatisfies returns definite truth; UNKNOWN is tolerated, so we
     // check for definite falsity by testing the negation... Cheaper: a
     // condition is violated only when it evaluates to definite FALSE. We
@@ -97,7 +131,7 @@ Status IntegrityChecker::CheckOne(
       SIM_ASSIGN_OR_RETURN(neg, binder.BindCondition(v.def->class_name,
                                                      *expr));
       SIM_ASSIGN_OR_RETURN(bool definitely_false,
-                           exec.EntitySatisfies(neg, s));
+                           EntitySatisfies(neg, mapper_, s));
       if (definitely_false) {
         return Status::Aborted(v.def->message);
       }

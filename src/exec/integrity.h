@@ -27,11 +27,18 @@
 
 #include "catalog/directory.h"
 #include "common/status.h"
-#include "exec/executor.h"
+#include "common/query_context.h"
 #include "luc/mapper.h"
 #include "semantics/binder.h"
 
 namespace sim {
+
+// True when entity `s`, bound to the single root of `qt`, satisfies the
+// tree's selection definitely (TYPE 2 nodes evaluated existentially;
+// UNKNOWN is not satisfaction). Evaluates update WHERE clauses, EVA
+// selectors and VERIFY conditions.
+Result<bool> EntitySatisfies(const QueryTree& qt, LucMapper* mapper,
+                             SurrogateId s, QueryContext* qctx = nullptr);
 
 class IntegrityChecker {
  public:

@@ -46,8 +46,7 @@
 
 namespace sim {
 
-// Per-query execution statistics, shared by the legacy interpreter and
-// the operator pipeline.
+// Per-query execution statistics of the operator pipeline.
 struct ExecStats {
   uint64_t combinations_examined = 0;
   uint64_t rows_emitted = 0;

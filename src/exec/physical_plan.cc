@@ -9,8 +9,9 @@ namespace sim {
 namespace {
 
 // Finds the QT nodes an expression references (structured-output record
-// homes). Mirrors the legacy executor's rules: aggregates and quantifiers
-// contribute nothing (their loops hang from already-covered parents).
+// homes). Mirrors the reference interpreter's rules: aggregates and
+// quantifiers contribute nothing (their loops hang from already-covered
+// parents).
 void CollectNodes(const BExpr& expr, std::vector<int>* out) {
   switch (expr.kind) {
     case BExprKind::kLiteral:
@@ -41,8 +42,10 @@ void CollectNodes(const BExpr& expr, std::vector<int>* out) {
       CollectNodes(*static_cast<const BIsa&>(expr).entity, out);
       return;
     case BExprKind::kFunction:
-      // Function arguments do not pull the record home deeper (matches the
-      // reference executor).
+      // A function of a deeper node's value belongs in that node's record.
+      for (const auto& arg : static_cast<const BFunction&>(expr).args) {
+        CollectNodes(*arg, out);
+      }
       return;
   }
 }

@@ -1,9 +1,15 @@
 #ifndef SIMDB_EXEC_PHYSICAL_PLAN_H_
 #define SIMDB_EXEC_PHYSICAL_PLAN_H_
 
-// The physical plan: a Volcano operator tree realizing one AccessPlan
-// strategy for a bound query tree. Built once per query, drained by
-// Executor::Run or streamed through Database::Cursor.
+// The physical plan — the Query Driver of Figure 1: a Volcano operator tree
+// realizing one AccessPlan strategy for a bound query tree with the §4.5
+// semantics (nested loops over the TYPE 1 and TYPE 3 variables in
+// depth-first order, existential evaluation of TYPE 2 variables inside
+// the selection, dummy all-null instances for empty TYPE 3 domains,
+// perspective-implied output order restored by a sort when the plan
+// reorders roots). Database builds one per Retrieve in its shared plan
+// step; every entry point that runs it drains it through
+// Database::Cursor::Next.
 //
 // Tree shape (top to bottom):
 //

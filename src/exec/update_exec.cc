@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/strings.h"
+#include "exec/expr_eval.h"
 #include "parser/dml_parser.h"
 
 namespace sim {
@@ -38,6 +39,36 @@ bool FindEqualityProbe(const Expr* where, std::string* attr, Value* value) {
   return false;
 }
 
+// Evaluates the single target of `qt` for entity `s` bound to the root.
+// Non-root TYPE 1/3 nodes are bound to their first instance (a dummy when
+// empty).
+Result<Value> EvalForEntity(const QueryTree& qt, LucMapper* mapper,
+                            SurrogateId s) {
+  if (qt.roots.size() != 1 || qt.targets.size() != 1) {
+    return Status::Internal(
+        "EvalForEntity requires a single root and a single target");
+  }
+  EvalContext ctx(&qt, mapper);
+  ExprEvaluator ev(&ctx);
+  NodeBinding b;
+  b.bound = true;
+  b.entity = s;
+  ctx.binding(qt.roots[0]) = b;
+  for (int n : qt.MainLoopNodes()) {
+    if (n == qt.roots[0]) continue;
+    SIM_ASSIGN_OR_RETURN(std::vector<NodeBinding> domain, ev.ComputeDomain(n));
+    if (domain.empty()) {
+      NodeBinding dummy;
+      dummy.bound = true;
+      dummy.dummy = true;
+      ctx.binding(n) = dummy;
+    } else {
+      ctx.binding(n) = domain.front();
+    }
+  }
+  return ev.Eval(*qt.targets[0]);
+}
+
 }  // namespace
 
 Result<std::vector<SurrogateId>> UpdateExecutor::SelectEntities(
@@ -54,10 +85,9 @@ Result<std::vector<SurrogateId>> UpdateExecutor::SelectEntities(
     SIM_ASSIGN_OR_RETURN(ExprPtr cond,
                          DmlParser::ParseExpressionText(view->condition_text));
     SIM_ASSIGN_OR_RETURN(QueryTree vqt, binder_.BindCondition(cls, *cond));
-    Executor exec(mapper_);
     std::vector<SurrogateId> out;
     for (SurrogateId s : base) {
-      SIM_ASSIGN_OR_RETURN(bool sat, exec.EntitySatisfies(vqt, s));
+      SIM_ASSIGN_OR_RETURN(bool sat, EntitySatisfies(vqt, mapper_, s));
       if (sat) out.push_back(s);
     }
     return out;
@@ -66,7 +96,6 @@ Result<std::vector<SurrogateId>> UpdateExecutor::SelectEntities(
 
   QueryTree qt;
   SIM_ASSIGN_OR_RETURN(qt, binder_.BindCondition(cls, *where));
-  Executor exec(mapper_);
 
   // Index fast path: `unique-attr = literal` narrows the scan to one
   // candidate.
@@ -81,7 +110,8 @@ Result<std::vector<SurrogateId>> UpdateExecutor::SelectEntities(
       if (hit->has_value()) {
         SIM_ASSIGN_OR_RETURN(bool has_role, mapper_->HasRole(**hit, cls));
         if (has_role) {
-          SIM_ASSIGN_OR_RETURN(bool sat, exec.EntitySatisfies(qt, **hit));
+          SIM_ASSIGN_OR_RETURN(bool sat,
+                               EntitySatisfies(qt, mapper_, **hit));
           if (sat) out.push_back(**hit);
         }
       }
@@ -93,7 +123,7 @@ Result<std::vector<SurrogateId>> UpdateExecutor::SelectEntities(
   std::sort(extent.begin(), extent.end());
   std::vector<SurrogateId> out;
   for (SurrogateId s : extent) {
-    SIM_ASSIGN_OR_RETURN(bool sat, exec.EntitySatisfies(qt, s));
+    SIM_ASSIGN_OR_RETURN(bool sat, EntitySatisfies(qt, mapper_, s));
     if (sat) out.push_back(s);
   }
   return out;
@@ -103,8 +133,7 @@ Result<Value> UpdateExecutor::EvalAssignmentValue(const std::string& cls,
                                                   SurrogateId s,
                                                   const Expr& expr) {
   SIM_ASSIGN_OR_RETURN(QueryTree qt, binder_.BindEntityExpr(cls, expr));
-  Executor exec(mapper_);
-  return exec.EvalForEntity(qt, s);
+  return EvalForEntity(qt, mapper_, s);
 }
 
 Result<std::vector<SurrogateId>> UpdateExecutor::SelectorTargets(
@@ -130,10 +159,9 @@ Result<std::vector<SurrogateId>> UpdateExecutor::SelectorTargets(
     SIM_ASSIGN_OR_RETURN(QueryTree qt,
                          binder_.BindCondition(ra.attr->range_class,
                                                *a.with_expr));
-    Executor exec(mapper_);
     std::vector<SurrogateId> out;
     for (SurrogateId t : current) {
-      SIM_ASSIGN_OR_RETURN(bool sat, exec.EntitySatisfies(qt, t));
+      SIM_ASSIGN_OR_RETURN(bool sat, EntitySatisfies(qt, mapper_, t));
       if (sat) out.push_back(t);
     }
     return out;

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "exec/executor.h"
 #include "exec/integrity.h"
 #include "luc/mapper.h"
 #include "parser/ast.h"

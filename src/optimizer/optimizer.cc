@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/strings.h"
-#include "exec/physical_plan.h"
 
 namespace sim {
 
@@ -142,11 +141,6 @@ double Optimizer::CostStrategy(
     cost += ChildTraversalCost(qt, r.node, card);
   }
   return cost;
-}
-
-Result<PhysicalPlan> Optimizer::Plan(const QueryTree& qt) {
-  SIM_ASSIGN_OR_RETURN(AccessPlan access, Optimize(qt));
-  return PhysicalPlan::Build(qt, &access, mapper_);
 }
 
 Result<AccessPlan> Optimizer::Optimize(const QueryTree& qt) {

@@ -24,8 +24,6 @@
 
 namespace sim {
 
-struct PhysicalPlan;  // exec/physical_plan.h
-
 struct AccessPlan {
   enum class RootMethod { kScan, kIndexEq };
 
@@ -68,10 +66,6 @@ class Optimizer {
   // snapshot and cost model in place, so concurrent statements serialize
   // through here briefly before executing in parallel.
   Result<AccessPlan> Optimize(const QueryTree& qt) SIM_EXCLUDES(opt_mu_);
-
-  // Full physical planning: Optimize + compile the winning strategy into
-  // a Volcano operator tree.
-  Result<PhysicalPlan> Plan(const QueryTree& qt);
 
   const CostModel& cost_model() const { return cost_model_; }
   const StatsSnapshot& stats() const { return stats_; }

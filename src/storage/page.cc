@@ -1,5 +1,6 @@
 #include "storage/page.h"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <vector>
@@ -104,7 +105,7 @@ void SlottedPage::Initialize(char* data) {
 
 int SlottedPage::slot_count() const { return ReadU16(kSlotCountPos); }
 
-int SlottedPage::FreeSpaceForNewRecord() const {
+int SlottedPage::SpaceAfterSlotEntry() const {
   int slots = slot_count();
   int free_end = ReadU16(kFreeEndPos);
   int garbage = ReadU16(kGarbagePos);
@@ -116,9 +117,17 @@ int SlottedPage::FreeSpaceForNewRecord() const {
   return total - static_cast<int>(kSlotEntrySize);
 }
 
+int SlottedPage::FreeSpaceForNewRecord() const {
+  // A page with fewer free bytes than a slot entry takes no record: it has
+  // 0 usable bytes, not a negative count.
+  return std::max(0, SpaceAfterSlotEntry());
+}
+
 Result<int> SlottedPage::Insert(std::string_view record) {
   const int len = static_cast<int>(record.size());
-  if (len > FreeSpaceForNewRecord()) {
+  // Exact, unclamped fit test: a page short of a slot entry refuses even
+  // an empty record.
+  if (len > SpaceAfterSlotEntry()) {
     return Status::IoError("record does not fit in page");
   }
   int slots = slot_count();

@@ -68,7 +68,8 @@ class SlottedPage {
   int slot_count() const;
 
   // Bytes available for a new record, accounting for its slot entry.
-  // Includes reclaimable garbage (Insert compacts when needed).
+  // Includes reclaimable garbage (Insert compacts when needed). Never
+  // negative: a page without room for a slot entry reports 0.
   int FreeSpaceForNewRecord() const;
 
   // Appends a record; returns its slot number, or IoError if it cannot fit.
@@ -97,6 +98,9 @@ class SlottedPage {
   static size_t SlotLengthPos(int slot) { return kHeaderSize + slot * 4 + 2; }
   // Rewrites all live records contiguously at the page end.
   void Compact();
+  // Free bytes (garbage included) minus one slot entry; negative when the
+  // page cannot even take a slot entry.
+  int SpaceAfterSlotEntry() const;
 
   // Common page header plus the slotted header fields.
   static constexpr size_t kHeaderSize = kPageDataStart + 6;

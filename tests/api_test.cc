@@ -4,11 +4,103 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <string_view>
 
 #include "university_fixture.h"
 
 namespace sim {
 namespace {
+
+// The four Retrieve entry points, each reduced to text: the rows it
+// returned and the access plan it ran with (ExecuteQuery, OpenCursor), or
+// the plan it printed (Explain, ExplainAnalyze).
+struct EntryPoint {
+  const char* name;
+  Result<std::string> (*run)(Database* db, const std::string& q);
+};
+
+const EntryPoint kEntryPoints[] = {
+    {"ExecuteQuery",
+     [](Database* db, const std::string& q) -> Result<std::string> {
+       SIM_ASSIGN_OR_RETURN(ResultSet rs, db->ExecuteQuery(q));
+       return rs.ToString() + db->last_plan().Describe();
+     }},
+    {"OpenCursor",
+     [](Database* db, const std::string& q) -> Result<std::string> {
+       SIM_ASSIGN_OR_RETURN(Database::Cursor cur, db->OpenCursor(q));
+       ResultSet rs;
+       rs.columns = cur.columns();
+       Row row;
+       while (true) {
+         SIM_ASSIGN_OR_RETURN(bool has, cur.Next(&row));
+         if (!has) break;
+         rs.rows.push_back(row);
+       }
+       SIM_RETURN_IF_ERROR(cur.Close());
+       return rs.ToString() + db->last_plan().Describe();
+     }},
+    {"Explain",
+     [](Database* db, const std::string& q) { return db->Explain(q); }},
+    {"ExplainAnalyze",
+     [](Database* db, const std::string& q) {
+       return db->ExplainAnalyze(q);
+     }},
+};
+
+// With the optimizer off no entry point may pick (or print) the index
+// the optimizer chooses on a large Person extent; with it on, all do.
+TEST(ApiTest, EveryEntryPointHonorsUseOptimizer) {
+  const std::string q =
+      "From Person Retrieve Name Where soc-sec-no = 456887766";
+  for (bool optimize : {true, false}) {
+    DatabaseOptions options;
+    options.use_optimizer = optimize;
+    auto db = sim::testing::OpenUniversity(options);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    // Large enough that the index probe beats the scan (see
+    // ExplainShowsTreeAndPlan).
+    for (int i = 0; i < 200; ++i) {
+      ASSERT_TRUE((*db)
+                      ->ExecuteUpdate("Insert person (soc-sec-no := " +
+                                      std::to_string(1000 + i) + ")")
+                      .ok());
+    }
+    for (const EntryPoint& ep : kEntryPoints) {
+      auto out = ep.run(db->get(), q);
+      ASSERT_TRUE(out.ok()) << ep.name << ": " << out.status().ToString();
+      EXPECT_EQ(out->find("index[") != std::string::npos, optimize)
+          << ep.name << " with use_optimizer=" << optimize << ":\n"
+          << *out;
+    }
+  }
+}
+
+// Paranoid mode wraps every Retrieve plan in the iterator-protocol
+// checker: the explain entry points show it, and the entry points that
+// return rows return the same rows as without it.
+TEST(ApiTest, EveryEntryPointWrapsParanoidPlans) {
+  const std::string q =
+      "From Student Retrieve Name, Title of Courses-Enrolled";
+  DatabaseOptions paranoid;
+  paranoid.paranoid_checks = true;
+  auto checked = sim::testing::OpenUniversity(paranoid);
+  ASSERT_TRUE(checked.ok()) << checked.status().ToString();
+  auto plain = sim::testing::OpenUniversity();
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  for (const EntryPoint& ep : kEntryPoints) {
+    auto out = ep.run(checked->get(), q);
+    ASSERT_TRUE(out.ok()) << ep.name << ": " << out.status().ToString();
+    if (std::string_view(ep.name).starts_with("Explain")) {
+      EXPECT_NE(out->find("ProtocolCheck"), std::string::npos)
+          << ep.name << ":\n" << *out;
+    } else {
+      auto want = ep.run(plain->get(), q);
+      ASSERT_TRUE(want.ok()) << ep.name << ": " << want.status().ToString();
+      EXPECT_EQ(*out, *want) << ep.name;
+    }
+  }
+}
 
 TEST(ApiTest, ExplainShowsTreeAndPlan) {
   auto db = sim::testing::OpenUniversity();

@@ -345,6 +345,83 @@ INSTANTIATE_TEST_SUITE_P(Representations, CheckMvCorruptionTest,
                            return pinfo.param ? "Embedded" : "SeparateUnit";
                          });
 
+// A heap page left with fewer free bytes than a slot entry (routine once
+// records of varied sizes fill a file) must audit clean, so a database
+// holding one closes and reopens under the default post-recovery audit.
+TEST(CheckReopenTest, NearlyFullHeapPageAuditsCleanAndReopens) {
+  std::string path = ::testing::TempDir() + "/simcheck_tight_page.db";
+  std::remove(path.c_str());
+  std::remove((path + ".wal").c_str());
+  DatabaseOptions options;
+  options.file_path = path;
+  int inserted = 0;
+  {
+    auto db = Database::Open(options);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    ASSERT_TRUE((*db)->ExecuteDdl("Class Item (tag: string[60]);").ok());
+    auto mapper = (*db)->mapper();
+    ASSERT_TRUE(mapper.ok());
+    auto insert = [&](int tag_len) {
+      std::string tag(static_cast<size_t>(tag_len), 't');
+      ASSERT_TRUE((*db)->ExecuteUpdate("Insert Item (tag := \"" + tag + "\")")
+                      .ok());
+      ++inserted;
+    };
+    // Usable bytes of the page the next insert goes to.
+    auto newest_free = [&]() {
+      auto h = (*db)->buffer_pool().Fetch((*mapper)->HeapPages().back());
+      EXPECT_TRUE(h.ok());
+      return h.ok() ? SlottedPage(h->data()).FreeSpaceForNewRecord() : 0;
+    };
+    ASSERT_TRUE((*db)->Begin().ok());
+    char empty[kPageSize];
+    SlottedPage::Initialize(empty);
+    insert(0);
+    // Record bytes of an Item with an empty tag: what the first insert
+    // took from a fresh page, less its slot entry.
+    const int overhead =
+        SlottedPage(empty).FreeSpaceForNewRecord() - newest_free() - 4;
+    // Mid-sized records until one tag length leaves the page 2 bytes, half
+    // a slot entry.
+    while (inserted < 500) {
+      int tag_len = newest_free() - overhead - 2;
+      if (tag_len >= 0 && tag_len <= 60) {
+        insert(tag_len);
+        break;
+      }
+      insert(20);
+    }
+    ASSERT_TRUE((*db)->Commit().ok());
+    // Probe copies of the heap pages: one refuses even an empty record,
+    // and reports 0 usable bytes.
+    int tight = 0;
+    for (PageId id : (*mapper)->HeapPages()) {
+      auto h = (*db)->buffer_pool().Fetch(id);
+      ASSERT_TRUE(h.ok()) << h.status().ToString();
+      char copy[kPageSize];
+      std::memcpy(copy, h->data(), kPageSize);
+      SlottedPage page(copy);
+      if (page.Insert("").ok()) continue;
+      ++tight;
+      EXPECT_EQ(page.FreeSpaceForNewRecord(), 0) << "page " << id;
+    }
+    ASSERT_EQ(tight, 1);
+    auto report = (*db)->Audit();
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_TRUE(report->clean()) << report->ToString();
+  }  // clean close
+  ASSERT_TRUE(options.recovery_audit);
+  auto db = Database::Open(options);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  auto rs = (*db)->ExecuteQuery("Retrieve count(item)");
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  ASSERT_EQ(rs->rows.size(), 1u);
+  EXPECT_EQ(rs->rows[0].values[0].int_value(), inserted);
+  db->reset();
+  std::remove(path.c_str());
+  std::remove((path + ".wal").c_str());
+}
+
 // Corruption 7: flip a stored byte on disk without restamping the page
 // checksum — detected by the page-layer audit of a reopened database
 // (recovery rehydrates the mapper, so the reopened audit runs full depth).

@@ -1,6 +1,6 @@
 // End-to-end smoke tests: open the UNIVERSITY database, load data, run
 // basic retrievals through the full Parser -> Binder -> Optimizer ->
-// Executor -> Mapper -> storage stack.
+// physical plan -> Mapper -> storage stack.
 
 #include <gtest/gtest.h>
 

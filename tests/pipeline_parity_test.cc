@@ -1,9 +1,10 @@
 // Parity suite for the Volcano pipeline (exec/operators, exec/physical_plan):
 // every retrieval exercised by the paper-examples and executor tests runs
-// through (a) the original recursive interpreter (Executor::RunReference,
-// kept as the semantic oracle), (b) the streaming pipeline (Executor::Run)
-// and (c) a Database::Cursor drain, and the three outputs are byte-compared
-// — values, null flags, structured format tags and nesting levels included.
+// through (a) the original recursive interpreter (RunReference in
+// reference_interpreter.h, kept as the semantic oracle), (b)
+// Database::ExecuteQuery and (c) a Database::Cursor drain, and the three
+// outputs are byte-compared — values, null flags, structured format tags
+// and nesting levels included.
 // Also covers early Cursor::Close mid-stream, the ordering-restore Sort
 // operator, LIMIT early termination and optimizer statistics staleness.
 
@@ -15,6 +16,7 @@
 #include "exec/physical_plan.h"
 #include "optimizer/optimizer.h"
 #include "parser/dml_parser.h"
+#include "reference_interpreter.h"
 #include "semantics/binder.h"
 #include "university_fixture.h"
 
@@ -92,6 +94,10 @@ const char* kParityQueries[] = {
     "Student",
     "From Department d, Department e Retrieve name of d, name of e",
     "From Person Retrieve Name, profession Where Name = \"Tom Jones\"",
+    // STRUCTURE output homes a target in the record of the deepest node it
+    // reads, also through a function: one length per enrolled course.
+    "From Student Retrieve Structure Name, "
+    "length(Title of Courses-Enrolled)",
 };
 
 // Renders every observable part of a ResultSet: the pretty-printed table
@@ -124,8 +130,29 @@ Result<ResultSet> Reference(Database* db, const std::string& q) {
   SIM_ASSIGN_OR_RETURN(QueryTree qt, Bind(db, q));
   Optimizer opt(mapper);
   SIM_ASSIGN_OR_RETURN(AccessPlan plan, opt.Optimize(qt));
-  Executor exec(mapper);
-  return exec.RunReference(qt, &plan);
+  return sim::testing::RunReference(qt, &plan, mapper);
+}
+
+// Builds the operator tree for `plan` (null = declaration order) and
+// drains it through an ExecContext, as the engine's cursor does.
+Result<ResultSet> DrainPlan(const QueryTree& qt, const AccessPlan* plan,
+                            LucMapper* mapper, ExecStats* stats) {
+  SIM_ASSIGN_OR_RETURN(PhysicalPlan pplan,
+                       PhysicalPlan::Build(qt, plan, mapper));
+  ResultSet rs;
+  rs.columns = qt.target_labels;
+  rs.structured = qt.mode == OutputMode::kStructure;
+  ExecContext cx(&qt, mapper);
+  SIM_RETURN_IF_ERROR(pplan.root->Open(cx));
+  Row row;
+  while (true) {
+    SIM_ASSIGN_OR_RETURN(bool has, pplan.root->Next(cx, &row));
+    if (!has) break;
+    rs.rows.push_back(row);
+  }
+  SIM_RETURN_IF_ERROR(pplan.root->Close(cx));
+  *stats = cx.stats;
+  return rs;
 }
 
 Result<ResultSet> Drain(Database::Cursor cur) {
@@ -232,10 +259,11 @@ TEST_F(PipelineParity, SortRestoresPerspectiveOrderReversedRoots) {
   ASSERT_EQ(qt->roots.size(), 2u);
 
   // Natural declaration-order run (no access plan).
-  Executor exec(*mapper);
-  auto natural = exec.Run(*qt, nullptr);
-  ASSERT_TRUE(natural.ok());
+  ExecStats natural_stats;
+  auto natural = DrainPlan(*qt, nullptr, *mapper, &natural_stats);
+  ASSERT_TRUE(natural.ok()) << natural.status().ToString();
   ASSERT_EQ(natural->rows.size(), 18u);
+  EXPECT_FALSE(natural_stats.sorted_for_order);
 
   // Hand-built plan iterating Course outside Department.
   AccessPlan reversed;
@@ -245,11 +273,12 @@ TEST_F(PipelineParity, SortRestoresPerspectiveOrderReversedRoots) {
   reversed.roots = {a, b};
   reversed.order_preserving = false;
 
-  auto oracle = exec.RunReference(*qt, &reversed);
-  ASSERT_TRUE(oracle.ok());
-  auto piped = exec.Run(*qt, &reversed);
-  ASSERT_TRUE(piped.ok());
-  EXPECT_TRUE(exec.last_stats().sorted_for_order);
+  auto oracle = sim::testing::RunReference(*qt, &reversed, *mapper);
+  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+  ExecStats piped_stats;
+  auto piped = DrainPlan(*qt, &reversed, *mapper, &piped_stats);
+  ASSERT_TRUE(piped.ok()) << piped.status().ToString();
+  EXPECT_TRUE(piped_stats.sorted_for_order);
   EXPECT_EQ(Render(*oracle), Render(*piped));
   // The restore sort brings the reversed iteration back to the
   // perspective-major order of the natural run.

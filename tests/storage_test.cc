@@ -98,6 +98,25 @@ TEST(SlottedPageTest, UpdateInPlaceAndGrow) {
   EXPECT_EQ(rec.size(), 500u);
 }
 
+// A page left with fewer free bytes than one slot entry has no usable
+// space: its estimate reads 0, never negative (the heap audit treats a
+// negative estimate as corruption), and it refuses every record, an empty
+// one included. With exactly one slot entry free, an empty record fits.
+TEST(SlottedPageTest, NearlyFullPageReportsZeroAndRefusesRecords) {
+  for (int left = 0; left <= 4; ++left) {
+    char data[kPageSize];
+    SlottedPage::Initialize(data);
+    SlottedPage page(data);
+    // One record sized to leave `left` bytes after its own slot entry.
+    std::string fill(static_cast<size_t>(page.FreeSpaceForNewRecord() - left),
+                     'f');
+    ASSERT_TRUE(page.Insert(fill).ok()) << left;
+    EXPECT_EQ(page.FreeSpaceForNewRecord(), 0) << left;
+    EXPECT_FALSE(page.Insert("x").ok()) << left;
+    EXPECT_EQ(page.Insert("").ok(), left == 4) << left;
+  }
+}
+
 TEST(PagerTest, MemPagerRoundTrip) {
   MemPager pager;
   auto p0 = pager.Allocate();

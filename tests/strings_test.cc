@@ -3,6 +3,8 @@
 
 #include "common/strings.h"
 
+#include <ostream>
+
 #include <gtest/gtest.h>
 
 namespace sim {
@@ -31,6 +33,14 @@ struct LikeCase {
   const char* pattern;
   bool expected;
 };
+
+// Prints a case by its values. Test discovery names each case after this
+// text, so the names stay the same from build to build; gtest's default
+// byte dump would print the string addresses and the struct's padding.
+void PrintTo(const LikeCase& c, std::ostream* os) {
+  *os << "'" << c.text << "' LIKE '" << c.pattern << "' is "
+      << (c.expected ? "true" : "false");
+}
 
 class LikeMatchTest : public ::testing::TestWithParam<LikeCase> {};
 
